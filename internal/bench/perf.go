@@ -30,8 +30,8 @@ type KernelPerf struct {
 	KernelAllocsPerEvent float64 `json:"kernel_allocs_per_event"`
 
 	// Rank-execution hot paths (the goroutine-light refactor): one
-	// park/resume round trip of a blocking (goroutine) proc through the
-	// single-token direct handoff, and one wake of a spawn-free sim.Task
+	// park/resume round trip of a blocking (goroutine) proc through its
+	// iter.Pull coroutine switch, and one wake of a spawn-free sim.Task
 	// state machine. Lower is better, so perfgate gates on the inverted
 	// rates; the task step must also stay allocation-free.
 	HandoffOpsPerSec    float64 `json:"handoff_ops_per_sec,omitempty"`
@@ -127,7 +127,7 @@ func MeasureKernelPerf() KernelPerf {
 	}) / perRun
 
 	// Rank-execution round trips: a blocking proc yielding in a loop
-	// (park + resume through the token handoff), and a task doing the
+	// (park + resume through the coroutine switch), and a task doing the
 	// same through TaskYield (pure heap rescheduling, no goroutine).
 	const yields = 200_000
 	hk := sim.NewKernel()

@@ -158,15 +158,24 @@ func ExecuteScheduled(p *Program, mode core.Mode, fs fabric.FaultSchedule, shard
 
 // executeOpts applies the serial-fallback rule shared by every entry point
 // (fault injection and modeled topologies reject sharding) before the run.
+// A failed run is replayed with call-site capture, so its error names the
+// blocking calls; only failures pay for the capture.
 func executeOpts(p *Program, mode core.Mode, kind topo.Kind, shards int, fp *fabric.FaultProfile, fs *fabric.FaultSchedule, signal bool) *RunResult {
 	if fp != nil || kind != topo.Crossbar {
 		shards = 0
 	}
-	return execute(p, mode, kind, shards, fp, fs, signal)
+	res := execute(p, mode, kind, shards, fp, fs, signal, false)
+	if res.Err != nil {
+		res = execute(p, mode, kind, shards, fp, fs, signal, true)
+	}
+	return res
 }
 
-// execute is the shared executor body behind ExecuteShards/ExecuteScheduled.
-func execute(p *Program, mode core.Mode, kind topo.Kind, shards int, fp *fabric.FaultProfile, fs *fabric.FaultSchedule, signal bool) *RunResult {
+// execute is the shared executor body behind every Execute* entry point.
+// diag turns on call-site capture, which schedules no events and so changes
+// nothing but the call sites in a failure report; executeOpts sets it only
+// to replay a failed run.
+func execute(p *Program, mode core.Mode, kind topo.Kind, shards int, fp *fabric.FaultProfile, fs *fabric.FaultSchedule, signal, diag bool) *RunResult {
 	cfg := fabric.DefaultConfig()
 	cfg.ProcsPerNode = p.ProcsPerNode
 	cfg.Topo = TopoSpec(kind, p.Seed)
@@ -180,7 +189,9 @@ func execute(p *Program, mode core.Mode, kind topo.Kind, shards int, fp *fabric.
 	// Scheduled flap/jitter runs get the lossy budget headroom too: held
 	// packets stretch the schedule the same way retransmissions do.
 	world.SetWatchdog(eventBudget(p, fp != nil || fs != nil, kind), 0)
-	world.EnableDiagnostics()
+	if diag {
+		world.EnableDiagnostics()
+	}
 	rt := core.NewRuntime(world)
 	rec := trace.NewRecorder()
 	rt.SetTracer(rec)

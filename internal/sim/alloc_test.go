@@ -49,3 +49,30 @@ func TestAtCallSchedulingAllocs(t *testing.T) {
 		t.Errorf("AtCall+Drain: %.1f allocs/run, want 0", allocs)
 	}
 }
+
+// TestParkResumeAllocs is the goroutine-proc counterpart of the budgets
+// above: once the proc's coroutine exists, each park (Sleep) and resume
+// (the wake event switching back to it) must allocate nothing.
+func TestParkResumeAllocs(t *testing.T) {
+	k := NewKernel()
+	done := false
+	k.Spawn("sleeper", func(p *Proc) {
+		for !done {
+			p.Sleep(1)
+		}
+	})
+	pump := func() {
+		if err := k.runUntil(k.Now() + 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pump() // start the coroutine and warm the heap
+	allocs := testing.AllocsPerRun(200, pump)
+	if allocs != 0 {
+		t.Errorf("park+resume: %.1f allocs/run, want 0", allocs)
+	}
+	done = true
+	if err := k.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}

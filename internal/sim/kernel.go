@@ -2,14 +2,14 @@
 //
 // A simulated MPI rank is a Proc: either a goroutine with blocking calls
 // (Spawn) or a spawn-free resumable state machine (SpawnTask) stepped in
-// kernel context. Goroutine procs are lazy and transient — the goroutine
+// kernel context. Goroutine procs are lazy and transient — the coroutine
 // exists only between the start event and body return — and hand control
-// to and from the kernel over a single unbuffered token channel, one
-// rendezvous per park and one per resume. Either way the kernel enforces
-// strictly sequential execution: exactly one goroutine — the kernel loop or
-// a single Proc — runs at any instant. Combined with a totally ordered
-// event queue (time, then insertion sequence) this makes every simulation
-// bit-for-bit reproducible.
+// to and from the kernel by direct coroutine switches (iter.Pull), one per
+// park and one per resume. Either way the kernel enforces strictly
+// sequential execution: exactly one goroutine — the kernel loop or a single
+// Proc — runs at any instant. Combined with a totally ordered event queue
+// (time, then insertion sequence) this makes every simulation bit-for-bit
+// reproducible.
 //
 // Time is virtual and expressed in nanoseconds. Nothing in this package
 // consults the wall clock.
@@ -315,9 +315,9 @@ func (k *Kernel) SpawnTaskAt(at Time, name string, t Task) *Proc {
 const waitTagNotStarted = "not yet started"
 
 // startProc is the shared, capture-free start event of SpawnAt/SpawnTaskAt.
-// For a goroutine proc it creates the token channel, launches the goroutine
-// (lazy spawn: this is the first point any stack exists) and blocks until
-// the body parks or returns. For a task proc it runs the first Step inline.
+// For a goroutine proc it creates the coroutine (lazy spawn: this is the
+// first point any stack exists) and runs it until the body parks or
+// returns. For a task proc it runs the first Step inline.
 // The body reference is dropped once consumed so the proc does not pin its
 // closure for the rest of the run.
 func startProc(x any) {
@@ -329,26 +329,13 @@ func startProc(x any) {
 	}
 	body := p.body
 	p.body = nil
-	p.tok = make(chan struct{})
-	go p.run(body)
-	<-p.tok
-}
-
-// switchTo hands the execution token to p and blocks until p yields it
-// back. Must only be called from kernel context (inside an event fn). The
-// token channel is unbuffered and strictly alternating — kernel send, proc
-// receive, proc send, kernel receive — so each handoff is one rendezvous
-// and the runtime can switch directly between the two goroutines; mutual
-// exclusion holds because whoever is blocked on the channel touches no
-// shared state until its counterpart's operation completes.
-func (k *Kernel) switchTo(p *Proc) {
-	p.tok <- struct{}{}
-	<-p.tok
+	p.startCoro(body)
 }
 
 // wakeProc is the shared, capture-free resume callback used by Sleep, Yield
 // and Signal.Fire: scheduling it through AtCall costs no allocation. Task
-// procs are stepped inline; goroutine procs get the token.
+// procs are stepped inline. A goroutine proc is resumed by a coroutine
+// switch: the kernel blocks in next until the proc parks or finishes.
 func wakeProc(x any) {
 	p := x.(*Proc)
 	if p.finished {
@@ -358,7 +345,7 @@ func wakeProc(x any) {
 		p.k.stepTask(p)
 		return
 	}
-	p.k.switchTo(p)
+	p.next()
 }
 
 // stepTask runs one Step of a task proc in kernel context and enforces the
@@ -383,16 +370,7 @@ func (k *Kernel) stepTask(p *Proc) {
 
 // runStep invokes Step with the panic recovery of Proc.run.
 func (p *Proc) runStep() {
-	defer func() {
-		if r := recover(); r != nil {
-			p.finished = true
-			if err, ok := r.(error); ok {
-				p.k.abort(fmt.Errorf("sim: proc %q panicked: %w", p.Name, err))
-			} else {
-				p.k.abort(fmt.Errorf("sim: proc %q panicked: %v", p.Name, r))
-			}
-		}
-	}()
+	defer p.recoverPanic()
 	p.task.Step(p)
 }
 
@@ -408,8 +386,9 @@ func (k *Kernel) SetWatchdog(maxEvents uint64, maxTime Time) {
 }
 
 // EnableDiagnostics turns on blocking-call-site capture: every Proc.park
-// records a short stack so deadlock reports can point at the application
-// call that blocked. Costs a runtime.Callers per park, so it is opt-in.
+// records a short stack so deadlock reports name the blocking call. The
+// runtime.Callers per park costs more than the park itself, so it is opt-in;
+// internal/fuzz enables it only to replay a failed run.
 func (k *Kernel) EnableDiagnostics() { k.diag = true }
 
 // AddDiagProvider registers fn to contribute extra state (one string, may be
@@ -431,22 +410,8 @@ func (k *Kernel) Run() error {
 		return fmt.Errorf("sim: kernel is a shard; drive it through Shards.Run")
 	}
 	k.started = true
-	for len(k.heap) > 0 {
-		e := k.pop()
-		k.now = e.at
-		if k.maxTime > 0 && k.now > k.maxTime {
-			return fmt.Errorf("sim: watchdog: virtual time %d exceeded horizon %d\n%s",
-				k.now, k.maxTime, k.report())
-		}
-		k.nEvents++
-		if k.maxEvents > 0 && k.nEvents > k.maxEvents {
-			return fmt.Errorf("sim: watchdog: event budget %d exhausted at t=%d (possible livelock)\n%s",
-				k.maxEvents, k.now, k.report())
-		}
-		e.call()
-		if k.fail != nil {
-			return k.fail
-		}
+	if err := k.Drain(); err != nil {
+		return err
 	}
 	if stuck := k.parked(); len(stuck) > 0 {
 		return fmt.Errorf("sim: deadlock at t=%d: parked procs with empty event queue: %s\n%s",
@@ -456,13 +421,13 @@ func (k *Kernel) Run() error {
 }
 
 // Drain processes pending events until the queue is empty, without Run's
-// run-once guard or deadlock detection. It exists so microbenchmarks and
-// allocation tests outside this package can pump the kernel in repeatable
-// steps; simulations use Run. The watchdog budgets (SetWatchdog) ARE
-// honored — a harness bug that makes a pumped chain self-reschedule forever
-// must abort like any other livelock instead of hanging CI — with the same
-// error shapes as Run. Budgets accumulate across Drain calls, exactly as
-// they would across the events of one Run.
+// run-once guard or deadlock detection; Run is Drain plus those two. It
+// exists so microbenchmarks and allocation tests outside this package can
+// pump the kernel in repeatable steps; simulations use Run. The watchdog
+// budgets (SetWatchdog) ARE honored — a harness bug that makes a pumped
+// chain self-reschedule forever must abort like any other livelock instead
+// of hanging CI. Budgets accumulate across Drain calls, exactly as they
+// would across the events of one Run.
 func (k *Kernel) Drain() error {
 	for len(k.heap) > 0 {
 		e := k.pop()
@@ -561,6 +526,3 @@ func (k *Kernel) reportInto(b *strings.Builder) int {
 	}
 	return n
 }
-
-// Procs returns all processes ever spawned, in spawn order.
-func (k *Kernel) Procs() []*Proc { return k.procs }

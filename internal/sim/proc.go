@@ -9,10 +9,12 @@ import (
 // Proc is one simulated process (e.g. an MPI rank). A proc executes in one
 // of two modes, chosen at spawn time:
 //
-//   - Spawn/SpawnAt: the body function runs in a dedicated goroutine with
-//     blocking Sleep/Wait calls. The goroutine is lazy — created only when
-//     the start event fires — and transient — it exits when the body
-//     returns, so a finished proc costs no stack.
+//   - Spawn/SpawnAt: the body function runs in a runtime coroutine
+//     (iter.Pull) with blocking Sleep/Wait calls. The coroutine is lazy —
+//     created only when the start event fires — and transient — it exits
+//     when the body returns, so a finished proc costs no stack. A
+//     runtime.Goexit in the body (t.FailNow, for one) propagates to the
+//     goroutine driving the kernel, as iter.Pull specifies.
 //   - SpawnTask/SpawnTaskAt: the body is a resumable state machine (Task)
 //     stepped in kernel context, so the proc never owns a goroutine or a
 //     stack at all. This is the fast path large worlds run on.
@@ -27,11 +29,11 @@ type Proc struct {
 	finished bool
 	waitTag  string // human-readable description of what the proc waits on
 
-	// tok is the execution token for goroutine-mode procs: a single
-	// unbuffered channel carrying strictly alternating kernel->proc and
-	// proc->kernel handoffs, so each direction change is one rendezvous.
-	// nil until the start event fires, and always nil for task procs.
-	tok chan struct{}
+	// next (kernel side) resumes a goroutine proc's coroutine and yield
+	// (proc side) parks it. Both are nil before the start event, after the
+	// body returns, and always for task procs.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// body holds the application function between SpawnAt and the start
 	// event (startProc), so spawning schedules no closure and spawning a
@@ -74,24 +76,30 @@ type Task interface {
 	Step(p *Proc)
 }
 
-// run is the goroutine entry point of a goroutine-mode proc: the body
-// executes immediately (startProc blocks on the token until the first park)
-// and the epilogue always returns the execution token to the kernel.
+// run is the coroutine body of a goroutine-mode proc: the body executes
+// immediately (startProc's next returns at the first park) and the epilogue
+// drops both coroutine ends; returning hands control back to the kernel.
 func (p *Proc) run(body func(*Proc)) {
 	defer func() {
 		p.finished = true
-		if r := recover(); r != nil {
-			// Error panics are wrapped (%w) so callers of Kernel.Run can
-			// unwrap typed failures — e.g. core's *RMAError — with errors.As.
-			if err, ok := r.(error); ok {
-				p.k.abort(fmt.Errorf("sim: proc %q panicked: %w", p.Name, err))
-			} else {
-				p.k.abort(fmt.Errorf("sim: proc %q panicked: %v", p.Name, r))
-			}
-		}
-		p.tok <- struct{}{}
+		p.next, p.yield = nil, nil
 	}()
+	defer p.recoverPanic()
 	body(p)
+}
+
+// recoverPanic, deferred around a body or Step, turns a panic into a finished
+// proc and a run abort. Error values are wrapped (%w) so Kernel.Run callers
+// can unwrap typed failures — e.g. core's *RMAError — with errors.As.
+func (p *Proc) recoverPanic() {
+	if r := recover(); r != nil {
+		p.finished = true
+		if err, ok := r.(error); ok {
+			p.k.abort(fmt.Errorf("sim: proc %q panicked: %w", p.Name, err))
+		} else {
+			p.k.abort(fmt.Errorf("sim: proc %q panicked: %v", p.Name, r))
+		}
+	}
 }
 
 // Kernel returns the kernel this proc belongs to.
@@ -100,16 +108,14 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// park yields the execution token and blocks until some event resumes this
-// proc. tag describes the wait for deadlock diagnostics. The send and the
-// receive are both rendezvous on the proc's own unbuffered token channel:
-// the send wakes the kernel (which is blocked receiving in switchTo), the
-// receive blocks until the kernel's next switchTo send.
+// park hands control back to the kernel and blocks until some event
+// resumes this proc. tag describes the wait for deadlock diagnostics. yield
+// is a direct coroutine switch: it returns the kernel from its next call
+// (wakeProc or startProc) and itself returns at the proc's next wake.
 func (p *Proc) park(tag string) {
 	p.waitTag = tag
 	p.captureSite()
-	p.tok <- struct{}{}
-	<-p.tok
+	p.yield(struct{}{})
 	p.clearWait()
 }
 
@@ -177,8 +183,8 @@ func (p *Proc) TaskExit() {
 }
 
 // waitSite formats the blocking call site captured at the current park: the
-// innermost frames that are neither in this package nor in internal/mpi's
-// wait plumbing, i.e. the application (or RMA-layer) call that blocked.
+// innermost frames outside this package, internal/mpi's wait plumbing, the
+// runtime and iter.Pull, i.e. the application (or RMA-layer) call that blocked.
 // Returns "" when diagnostics are off or the proc is not parked.
 func (p *Proc) waitSite() string {
 	if p.diag == nil || p.diag.n == 0 {
@@ -190,7 +196,8 @@ func (p *Proc) waitSite() string {
 		f, more := frames.Next()
 		inSim := strings.Contains(f.File, "internal/sim/") && !strings.HasSuffix(f.File, "_test.go")
 		inMPIWait := strings.HasSuffix(f.File, "internal/mpi/rank.go")
-		if f.File != "" && !inSim && !inMPIWait && !strings.Contains(f.Function, "runtime.") {
+		inRuntime := strings.Contains(f.Function, "runtime.") || strings.HasPrefix(f.Function, "iter.")
+		if f.File != "" && !inSim && !inMPIWait && !inRuntime {
 			sites = append(sites, fmt.Sprintf("%s:%d", trimPath(f.File), f.Line))
 			if len(sites) == 3 {
 				break

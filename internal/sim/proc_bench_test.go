@@ -4,8 +4,8 @@ import "testing"
 
 // BenchmarkParkResume measures the scheduler handoff cost: a single proc
 // yielding in a loop, so each op is one park (proc -> kernel) plus one
-// resume (kernel -> proc) plus one wake event. This is the number the
-// direct-handoff scheduler is gated on in cmd/perfgate.
+// resume (kernel -> proc) plus one wake event; both switches are iter.Pull
+// coroutine switches. cmd/perfgate gates the same loop as handoff ops/sec.
 func BenchmarkParkResume(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("yielder", func(p *Proc) {

@@ -68,7 +68,8 @@ func TestWatchdogBudgetsAllowHealthyRuns(t *testing.T) {
 }
 
 // With diagnostics enabled, a deadlock report names the blocking call site
-// of each parked proc (a frame outside internal/sim, i.e. this test file).
+// of each parked proc (a frame outside internal/sim, i.e. this test file)
+// and nothing below the body: no proc entry or coroutine plumbing frames.
 func TestDeadlockReportNamesCallSite(t *testing.T) {
 	k := NewKernel()
 	k.EnableDiagnostics()
@@ -82,6 +83,9 @@ func TestDeadlockReportNamesCallSite(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "watchdog_test.go") {
 		t.Fatalf("report should include the blocking call site: %v", err)
+	}
+	if strings.Contains(err.Error(), " <- ") {
+		t.Fatalf("report names frames below the proc body: %v", err)
 	}
 }
 
