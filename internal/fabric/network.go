@@ -232,9 +232,6 @@ func (nw *Network) EnableFaults(fp FaultProfile) {
 	nw.faults = newFaultState(nw, fp)
 }
 
-// FaultsEnabled reports whether the network runs with fault injection.
-func (nw *Network) FaultsEnabled() bool { return nw.faults != nil }
-
 // SetUnreachableHandler installs the callback fired when a rank declares a
 // peer unreachable (reliability-sublayer retry exhaustion).
 func (nw *Network) SetUnreachableHandler(fn func(local, peer int)) { nw.onUnreachable = fn }

@@ -9,9 +9,9 @@ import "repro/internal/sim"
 type desc struct {
 	n       *NIC
 	pkt     *Packet
-	dst     int      // cached: pkt may be recycled before the credit returns
-	rail    int      // which injection rail carries this descriptor
-	wire    int64    // bytes charged to this rail (== pkt.Size unless striped)
+	dst     int   // cached: pkt may be recycled before the credit returns
+	rail    int   // which injection rail carries this descriptor
+	wire    int64 // bytes charged to this rail (== pkt.Size unless striped)
 	stripe  *stripeGroup
 	regCost sim.Time // registration-cache miss penalty, charged as DMA setup
 }
@@ -148,16 +148,6 @@ func (t *nicPeerTable) get(i int) *nicPeer {
 		t.sparse[int32(i)] = c
 	}
 	return c
-}
-
-// QueueLen returns the number of descriptors waiting for a wire, across all
-// rails.
-func (n *NIC) QueueLen() int {
-	total := 0
-	for i := range n.rails {
-		total += len(n.rails[i].queue)
-	}
-	return total
 }
 
 // RailStats is one rail's congestion/throughput snapshot.

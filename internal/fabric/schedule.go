@@ -198,10 +198,6 @@ func (nw *Network) EnableSchedule(fs FaultSchedule) {
 	}
 }
 
-// ScheduleEnabled reports whether the network runs with scheduled fault
-// injection.
-func (nw *Network) ScheduleEnabled() bool { return nw.sched != nil }
-
 // SchedStats returns rank r's scheduled-injector counters (zero when the
 // scheduled injector is disabled).
 func (nw *Network) SchedStats(r int) SchedStats {

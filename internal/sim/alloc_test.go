@@ -28,6 +28,22 @@ func TestEventSchedulingAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("At+Drain: %.1f allocs/run, want 0", allocs)
 	}
+	// A capturing closure built once: At stores the func value itself in
+	// the event's argument, which must not box it.
+	n := 0
+	tick := func() { n++ }
+	allocs = testing.AllocsPerRun(200, func() {
+		for i := 0; i < 64; i++ {
+			k.At(k.Now()+Time(i%7), tick)
+		}
+		k.Drain()
+	})
+	if allocs != 0 {
+		t.Errorf("At(closure)+Drain: %.1f allocs/run, want 0", allocs)
+	}
+	if n == 0 {
+		t.Error("closure never ran")
+	}
 }
 
 func TestAtCallSchedulingAllocs(t *testing.T) {

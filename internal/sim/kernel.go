@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -32,11 +33,9 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// event is a scheduled callback. Events with equal activation time fire in
-// insertion order (seq), which keeps runs deterministic. Exactly one of fn
-// and argFn is set; the argFn form lets hot paths schedule a shared,
-// capture-free function with a pointer argument instead of allocating a
-// fresh closure per event.
+// event is a scheduled callback, as AtCross buffers it in a sharded run's
+// outboxes. Events with equal activation time fire in insertion order
+// (seq), which keeps runs deterministic.
 //
 // seq is a composite key with two bands (see AtCross). Band 0 — plain
 // At/AtCall events — uses the kernel's local insertion counter. Band 1 —
@@ -46,11 +45,27 @@ const (
 // to serial. All band-1 events at a timestamp fire after all band-0 events
 // at that timestamp, in (owner, counter) order.
 type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	argFn func(any)
-	arg   any
+	at  Time
+	seq uint64
+	callback
+}
+
+// callback is what an event runs: fn(arg). fn is a shared, capture-free
+// function, so hot paths schedule with a pointer argument instead of
+// allocating a fresh closure per event; At and After pass their closure as
+// the argument of the callFunc trampoline.
+type callback struct {
+	fn  func(any)
+	arg any
+}
+
+// entry is one pending event's heap key. It holds no pointers: the
+// callback lives in the kernel's slab at slot, so sifting entries moves
+// plain words and never triggers a GC write barrier.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot uint32
 }
 
 // Band-1 seq layout: [63]=1 | [40..62]=owner+1 (23 bits) | [0..39]=counter.
@@ -62,36 +77,33 @@ const (
 	crossCntMax            = 1<<crossOwnerShift - 1
 )
 
-// call invokes the event's callback.
-func (e *event) call() {
-	if e.fn != nil {
-		e.fn()
-	} else {
-		e.argFn(e.arg)
-	}
-}
+// callFunc is the trampoline of At and After. A func value is
+// pointer-shaped, so storing the closure in arg allocates nothing.
+func callFunc(x any) { x.(func())() }
 
-// before reports whether e fires before o in the (at, seq) total order.
-// seq values are unique, so the order is strict.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+// before reports whether e fires before o in the strict (at, seq) order,
+// comparing the keys as one branch-free 128-bit unsigned number (at is
+// never negative: nothing is scheduled before time zero).
+func (e *entry) before(o *entry) bool {
+	_, b := bits.Sub64(e.seq, o.seq, 0)
+	_, b = bits.Sub64(uint64(e.at), uint64(o.at), b)
+	return b != 0
 }
 
 // Kernel owns the virtual clock, the event queue and all Procs of one
 // simulation run. The zero value is not usable; call NewKernel.
 //
-// The event queue is a 4-ary min-heap of event values (not pointers): pushes
-// append into a reused backing array and pops sift values in place, so the
-// scheduling hot path performs zero allocations once the heap's capacity has
-// warmed up — no per-event box, no interface conversions. The wider fan-out
-// (4 children per node) halves the tree depth versus a binary heap, trading
-// a few extra comparisons per level for far fewer cache-missing moves.
+// The event queue is a 4-ary min-heap of pointer-free (at, seq, slot) keys
+// over a slab of callbacks whose freed slots are reused, so the slab never
+// outgrows the peak number of pending events and, once warmed up,
+// scheduling performs zero allocations. The wider fan-out (4 children per
+// node) halves the tree depth versus a binary heap, trading a few extra
+// comparisons per level for far fewer cache-missing moves.
 type Kernel struct {
 	now     Time
-	heap    []event
+	heap    []entry
+	slab    []callback
+	free    []uint32 // free slab slots
 	seq     uint64
 	procs   []*Proc
 	started bool
@@ -128,29 +140,37 @@ func NewKernel() *Kernel { return new(Kernel) }
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// push inserts e into the 4-ary heap.
+// push stores e's callback in a free slab slot and its key in the heap.
 func (k *Kernel) push(e event) {
-	h := append(k.heap, e)
+	slot := uint32(len(k.slab))
+	if n := len(k.free); n > 0 {
+		slot, k.free = k.free[n-1], k.free[:n-1]
+		k.slab[slot] = e.callback
+	} else {
+		k.slab = append(k.slab, e.callback)
+	}
+	h := append(k.heap, entry{at: e.at, seq: e.seq, slot: slot})
 	i := len(h) - 1
+	x := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !h[i].before(&h[p]) {
+		if !x.before(&h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = x
 	k.heap = h
 }
 
-// pop removes and returns the earliest event. The caller must ensure the
-// heap is non-empty.
-func (k *Kernel) pop() event {
+// pop removes the earliest event, frees its slab slot and returns its
+// time and callback. The caller must ensure the heap is non-empty.
+func (k *Kernel) pop() (Time, callback) {
 	h := k.heap
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release the closure/arg references
 	h = h[:n]
 	k.heap = h
 	if n > 0 {
@@ -161,11 +181,7 @@ func (k *Kernel) pop() event {
 				break
 			}
 			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
+			for j := c + 1; j < min(c+4, n); j++ {
 				if h[j].before(&h[m]) {
 					m = j
 				}
@@ -178,26 +194,22 @@ func (k *Kernel) pop() event {
 		}
 		h[i] = last
 	}
-	return top
+	cb := k.slab[top.slot]
+	k.slab[top.slot] = callback{} // release the callback's references
+	k.free = append(k.free, top.slot)
+	return top.at, cb
 }
 
 // At schedules fn to run in kernel context at virtual time t. Scheduling in
 // the past is an error that aborts the run.
-func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
-		k.abort(fmt.Errorf("sim: event scheduled in the past: t=%d now=%d", t, k.now))
-		return
-	}
-	k.seq++
-	k.push(event{at: t, seq: k.seq, fn: fn})
-}
+func (k *Kernel) At(t Time, fn func()) { k.AtCall(t, callFunc, fn) }
 
 // After schedules fn to run d nanoseconds of virtual time from now.
-func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
+func (k *Kernel) After(d Time, fn func()) { k.AtCall(k.now+d, callFunc, fn) }
 
 // AtCall schedules fn(arg) at virtual time t. fn should be a shared,
-// capture-free function: unlike At, this form allocates nothing when arg is
-// a pointer, which is what keeps the NIC pipeline and proc wakeups off the
+// capture-free function: this form allocates nothing when arg is a
+// pointer, which is what keeps the NIC pipeline and proc wakeups off the
 // heap.
 func (k *Kernel) AtCall(t Time, fn func(any), arg any) {
 	if t < k.now {
@@ -205,7 +217,7 @@ func (k *Kernel) AtCall(t Time, fn func(any), arg any) {
 		return
 	}
 	k.seq++
-	k.push(event{at: t, seq: k.seq, argFn: fn, arg: arg})
+	k.push(event{t, k.seq, callback{fn, arg}})
 }
 
 // AfterCall schedules fn(arg) d nanoseconds of virtual time from now.
@@ -230,7 +242,7 @@ func (k *Kernel) AtCross(t Time, fn func(any), arg any, owner, dst int) {
 		k.abort(fmt.Errorf("sim: event scheduled in the past: t=%d now=%d", t, k.now))
 		return
 	}
-	e := event{at: t, seq: k.crossSeq(owner), argFn: fn, arg: arg}
+	e := event{t, k.crossSeq(owner), callback{fn, arg}}
 	if g := k.group; g != nil {
 		if ds := g.shardFor(dst); ds != k.shardID {
 			g.outbox[k.shardID][ds] = append(g.outbox[k.shardID][ds], e)
@@ -240,14 +252,15 @@ func (k *Kernel) AtCross(t Time, fn func(any), arg any, owner, dst int) {
 	k.push(e)
 }
 
-// crossSeq mints the next band-1 key for owner.
+// crossSeq mints the next band-1 key for owner. The counter table grows
+// geometrically: owners met in ascending order cost O(log n) reallocations.
 func (k *Kernel) crossSeq(owner int) uint64 {
 	if owner < -1 || owner > crossOwnerMax {
 		panic(fmt.Sprintf("sim: cross-event owner %d out of range", owner))
 	}
 	i := owner + 1
 	if i >= len(k.crossCnt) {
-		cnt := make([]uint64, i+1)
+		cnt := make([]uint64, max(i+1, 2*len(k.crossCnt)))
 		copy(cnt, k.crossCnt)
 		k.crossCnt = cnt
 	}
@@ -277,16 +290,7 @@ func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 // Nothing is allocated for the goroutine until the start event fires; until
 // then the proc reports "not yet started" in diagnostics.
 func (k *Kernel) SpawnAt(t Time, name string, body func(*Proc)) *Proc {
-	p := &Proc{
-		k:       k,
-		Name:    name,
-		ID:      len(k.procs),
-		waitTag: waitTagNotStarted,
-		body:    body,
-	}
-	k.procs = append(k.procs, p)
-	k.AtCall(t, startProc, p)
-	return p
+	return k.spawn(t, &Proc{Name: name, body: body})
 }
 
 // SpawnTask registers a task proc whose state machine is first stepped at
@@ -297,15 +301,14 @@ func (k *Kernel) SpawnTask(name string, t Task) *Proc {
 
 // SpawnTaskAt registers a task proc first stepped at virtual time t.
 func (k *Kernel) SpawnTaskAt(at Time, name string, t Task) *Proc {
-	p := &Proc{
-		k:       k,
-		Name:    name,
-		ID:      len(k.procs),
-		waitTag: waitTagNotStarted,
-		task:    t,
-	}
+	return k.spawn(at, &Proc{Name: name, task: t})
+}
+
+// spawn registers p and schedules its start event at t.
+func (k *Kernel) spawn(t Time, p *Proc) *Proc {
+	p.k, p.ID, p.waitTag = k, len(k.procs), waitTagNotStarted
 	k.procs = append(k.procs, p)
-	k.AtCall(at, startProc, p)
+	k.AtCall(t, startProc, p)
 	return p
 }
 
@@ -430,8 +433,8 @@ func (k *Kernel) Run() error {
 // would across the events of one Run.
 func (k *Kernel) Drain() error {
 	for len(k.heap) > 0 {
-		e := k.pop()
-		k.now = e.at
+		at, cb := k.pop()
+		k.now = at
 		if k.maxTime > 0 && k.now > k.maxTime {
 			return fmt.Errorf("sim: watchdog: virtual time %d exceeded horizon %d\n%s",
 				k.now, k.maxTime, k.report())
@@ -441,7 +444,7 @@ func (k *Kernel) Drain() error {
 			return fmt.Errorf("sim: watchdog: event budget %d exhausted at t=%d (possible livelock)\n%s",
 				k.maxEvents, k.now, k.report())
 		}
-		e.call()
+		cb.fn(cb.arg)
 		if k.fail != nil {
 			return k.fail
 		}
@@ -466,10 +469,10 @@ func (k *Kernel) nextAt() (Time, bool) {
 // (Shards.Run), so only abort propagation is handled here.
 func (k *Kernel) runUntil(horizon Time) error {
 	for len(k.heap) > 0 && k.heap[0].at < horizon {
-		e := k.pop()
-		k.now = e.at
+		at, cb := k.pop()
+		k.now = at
 		k.nEvents++
-		e.call()
+		cb.fn(cb.arg)
 		if k.fail != nil {
 			return k.fail
 		}

@@ -106,9 +106,6 @@ func (s *Shards) SetLookahead(l Time) {
 // NumShards returns the number of rank shards (the fabric stage excluded).
 func (s *Shards) NumShards() int { return s.n }
 
-// Shard returns rank shard i's kernel.
-func (s *Shards) Shard(i int) *Kernel { return s.ks[i] }
-
 // KernelFor returns the kernel owning rank r.
 func (s *Shards) KernelFor(r int) *Kernel { return s.ks[s.shardOf[r]] }
 
@@ -199,16 +196,15 @@ func (s *Shards) mergeFrom(src int) {
 }
 
 // fnName names an event's callback for the lookahead-violation panic, which
-// otherwise gives no hint of which scheduling site broke the bound.
+// otherwise gives no hint of which scheduling site broke the bound. The
+// callFunc trampoline is unwrapped to the closure it carries.
 func (e *event) fnName() string {
-	var p uintptr
-	switch {
-	case e.argFn != nil:
-		p = reflect.ValueOf(e.argFn).Pointer()
-	case e.fn != nil:
-		p = reflect.ValueOf(e.fn).Pointer()
-	default:
+	if e.fn == nil {
 		return "<none>"
+	}
+	p := reflect.ValueOf(e.fn).Pointer()
+	if f, ok := e.arg.(func()); ok && p == reflect.ValueOf(callFunc).Pointer() {
+		p = reflect.ValueOf(f).Pointer()
 	}
 	if f := runtime.FuncForPC(p); f != nil {
 		return f.Name()

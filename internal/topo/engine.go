@@ -44,28 +44,14 @@ type Engine struct {
 	// Delivered counts packets handed to deliver.
 	Delivered int64
 
-	// Running aggregates, maintained O(1) per event so callers can sample
-	// congestion at epoch boundaries without walking every link.
+	// totQueued is the running fabric-wide queue time, maintained O(1) so
+	// callers can sample congestion without walking every link.
 	totQueued sim.Time
-	totStalls int64
 }
 
 // QueuedTotal returns the accumulated time packets have spent waiting in
 // link queues, fabric-wide.
 func (e *Engine) QueuedTotal() sim.Time { return e.totQueued }
-
-// StallsTotal returns the accumulated credit-stall episodes, fabric-wide.
-func (e *Engine) StallsTotal() int64 { return e.totStalls }
-
-// LinkStats counts one directed link's congestion activity.
-type LinkStats struct {
-	Forwarded    int64    // packets transmitted on the link
-	Bytes        int64    // payload bytes transmitted (excl. overhead)
-	BusyTime     sim.Time // total wire occupancy
-	QueuedTime   sim.Time // total time packets waited in the link's queue
-	CreditStalls int64    // head-of-queue episodes stalled on downstream credits
-	MaxQueue     int      // deepest queue observed
-}
 
 // linkState is the runtime state of one directed link. Two input queues
 // feed the wire: transit tokens (arrived over an upstream link, each
@@ -77,15 +63,52 @@ type LinkStats struct {
 type linkState struct {
 	e       *Engine
 	link    *Link
-	transit []*token
-	inject  []*token
+	transit tokenQueue
+	inject  tokenQueue
 	busy    bool
 	// slots counts free input-buffer credits of this link: reserved when an
 	// upstream transmission toward this link starts, released when the
 	// reserving packet starts its own onward transmission off this link.
-	slots   int
-	stalled bool // some head currently credit-stalled (dedups CreditStalls)
-	stats   LinkStats
+	slots int
+	// stalled is set by a failed start and cleared by the next transmission,
+	// so it holds exactly when the link is idle with a non-empty queue. It
+	// dedups creditStalls to one per episode.
+	stalled bool
+
+	// Congestion counters, summed by Summary.
+	forwarded    int64    // packets transmitted on the link
+	busyTime     sim.Time // total wire occupancy
+	queuedTime   sim.Time // total time packets waited in the link's queue
+	creditStalls int64    // head-of-queue episodes stalled on downstream credits
+	maxQueue     int      // deepest queue observed
+}
+
+// queued returns the number of packets waiting in ls's two input queues.
+func (ls *linkState) queued() int { return ls.transit.n + ls.inject.n }
+
+// tokenQueue is a FIFO of tokens on a power-of-two ring: O(1) dequeue.
+type tokenQueue struct {
+	buf     []*token
+	head, n int
+}
+
+func (q *tokenQueue) push(t *token) {
+	if q.n == len(q.buf) {
+		buf := make([]*token, max(4, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = t
+	q.n++
+}
+
+// pop drops the head; the queue must be non-empty.
+func (q *tokenQueue) pop() {
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
 }
 
 // token is one packet in flight through the topology.
@@ -95,7 +118,7 @@ type token struct {
 	size    int64
 	dst     int // destination host
 	cur     int // link currently queued on / transmitting on
-	next    int // next link (slot reserved), -1 when cur ends at dst
+	next    int // next link after cur (computed on enqueue), -1 when cur ends at dst
 	// heldSlot marks a token that reserved cur's downstream slot before
 	// entering it (everything but source injection); it doubles as the
 	// "already traveling inside this cycle" marker for the bubble rule.
@@ -147,17 +170,22 @@ func (e *Engine) Send(payload any, src, dst int, size int64) {
 }
 
 // enqueue parks t at ls's transit or injection queue and kicks the link.
+// It routes the hop once, for every start attempt to read.
 func (e *Engine) enqueue(ls *linkState, t *token, held bool) {
 	t.cur = ls.link.ID
+	t.next = -1
+	if ls.link.To != t.dst {
+		t.next = e.G.NextHop(ls.link.To, t.dst)
+	}
 	t.heldSlot = held
 	t.enqT = e.K.Now()
 	if held {
-		ls.transit = append(ls.transit, t)
+		ls.transit.push(t)
 	} else {
-		ls.inject = append(ls.inject, t)
+		ls.inject.push(t)
 	}
-	if q := len(ls.transit) + len(ls.inject); q > ls.stats.MaxQueue {
-		ls.stats.MaxQueue = q
+	if q := ls.queued(); q > ls.maxQueue {
+		ls.maxQueue = q
 	}
 	e.kick(ls)
 }
@@ -181,10 +209,10 @@ func (e *Engine) kick(ls *linkState) {
 	if ls.busy {
 		return
 	}
-	if len(ls.transit) > 0 && e.start(ls, &ls.transit) {
+	if ls.transit.n > 0 && e.start(ls, &ls.transit) {
 		return
 	}
-	if len(ls.inject) > 0 && e.start(ls, &ls.inject) {
+	if ls.inject.n > 0 && e.start(ls, &ls.inject) {
 		return
 	}
 }
@@ -192,36 +220,28 @@ func (e *Engine) kick(ls *linkState) {
 // start tries to launch the head of q on ls's wire; it reports whether a
 // transmission began. On a credit stall it charges CreditStalls once per
 // episode and leaves the head queued for a later re-kick.
-func (e *Engine) start(ls *linkState, q *[]*token) bool {
-	t := (*q)[0]
-	next := -1
-	if ls.link.To != t.dst {
-		next = e.G.NextHop(ls.link.To, t.dst)
-		ns := &e.links[next]
+func (e *Engine) start(ls *linkState, q *tokenQueue) bool {
+	t := q.buf[q.head]
+	if t.next >= 0 {
+		ns := &e.links[t.next]
 		if ns.slots < e.required(t, ls.link, ns.link) {
 			if !ls.stalled {
 				ls.stalled = true
-				ls.stats.CreditStalls++
-				e.totStalls++
+				ls.creditStalls++
 			}
 			return false // re-kicked when a downstream slot frees
 		}
 		ns.slots--
 	}
 	ls.stalled = false
-	n := len(*q)
-	copy(*q, (*q)[1:])
-	(*q)[n-1] = nil
-	*q = (*q)[:n-1]
-	t.next = next
+	q.pop()
 	ls.busy = true
 	waited := e.K.Now() - t.enqT
-	ls.stats.QueuedTime += waited
+	ls.queuedTime += waited
 	e.totQueued += waited
-	ls.stats.Forwarded++
-	ls.stats.Bytes += t.size
+	ls.forwarded++
 	occ := ls.occupancy(t.size)
-	ls.stats.BusyTime += occ
+	ls.busyTime += occ
 	e.K.AfterCall(occ, tokenTxDone, t)
 	// Virtual cut-through: the packet's bits stream into the downstream
 	// buffer as they transmit, so the slot it held here frees at tx START,
@@ -265,10 +285,13 @@ func tokenTxDone(x any) {
 }
 
 // kickFeeders retries the upstream links that may be waiting for one of
-// ls's freed slots, in ascending link order (the fixed tie-break).
+// ls's freed slots, in ascending link order (the fixed tie-break). Only
+// stalled feeders can start: the rest are busy or have nothing queued.
 func (e *Engine) kickFeeders(ls *linkState) {
 	for _, f := range e.G.feeders[ls.link.ID] {
-		e.kick(&e.links[f])
+		if fs := &e.links[f]; fs.stalled {
+			e.kick(fs)
+		}
 	}
 }
 
@@ -309,26 +332,23 @@ type Summary struct {
 func (e *Engine) Summary() Summary {
 	s := Summary{Links: len(e.links), Delivered: e.Delivered}
 	for i := range e.links {
-		st := &e.links[i].stats
-		s.Forwarded += st.Forwarded
-		s.QueuedTime += st.QueuedTime
-		s.BusyTime += st.BusyTime
-		s.CreditStalls += st.CreditStalls
-		if st.MaxQueue > s.MaxQueue {
-			s.MaxQueue = st.MaxQueue
+		ls := &e.links[i]
+		s.Forwarded += ls.forwarded
+		s.QueuedTime += ls.queuedTime
+		s.BusyTime += ls.busyTime
+		s.CreditStalls += ls.creditStalls
+		if ls.maxQueue > s.MaxQueue {
+			s.MaxQueue = ls.maxQueue
 		}
 	}
 	return s
 }
 
-// LinkStats returns link i's counters.
-func (e *Engine) LinkStats(i int) LinkStats { return e.links[i].stats }
-
 // InFlight reports whether any packet is queued or crossing a link
 // (testing helper: quiescence means all queues drained).
 func (e *Engine) InFlight() bool {
 	for i := range e.links {
-		if ls := &e.links[i]; ls.busy || len(ls.transit) > 0 || len(ls.inject) > 0 {
+		if ls := &e.links[i]; ls.busy || ls.queued() > 0 {
 			return true
 		}
 	}
@@ -345,13 +365,13 @@ func (e *Engine) HostDiag(host int) string {
 		if ls.link.From != host && ls.link.To != host {
 			continue
 		}
-		q := len(ls.transit) + len(ls.inject)
-		if ls.stats.QueuedTime == 0 && ls.stats.CreditStalls == 0 && q == 0 {
+		q := ls.queued()
+		if ls.queuedTime == 0 && ls.creditStalls == 0 && q == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "link %s: q=%d busy=%v slots=%d queued=%dus stalls=%d\n",
 			e.G.LinkName(i), q, ls.busy, ls.slots,
-			ls.stats.QueuedTime/sim.Microsecond, ls.stats.CreditStalls)
+			ls.queuedTime/sim.Microsecond, ls.creditStalls)
 	}
 	type hot struct {
 		id int
@@ -359,7 +379,7 @@ func (e *Engine) HostDiag(host int) string {
 	}
 	hots := make([]hot, 0, len(e.links))
 	for i := range e.links {
-		if q := e.links[i].stats.QueuedTime; q > 0 {
+		if q := e.links[i].queuedTime; q > 0 {
 			hots = append(hots, hot{i, q})
 		}
 	}
@@ -375,7 +395,7 @@ func (e *Engine) HostDiag(host int) string {
 	for _, h := range hots {
 		fmt.Fprintf(&b, "hot %s: queued=%dus stalls=%d max_q=%d\n",
 			e.G.LinkName(h.id), h.q/sim.Microsecond,
-			e.links[h.id].stats.CreditStalls, e.links[h.id].stats.MaxQueue)
+			e.links[h.id].creditStalls, e.links[h.id].maxQueue)
 	}
 	if b.Len() == 0 {
 		return ""

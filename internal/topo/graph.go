@@ -39,13 +39,13 @@ type Graph struct {
 	feeders [][]int32
 
 	// Routing state per kind.
-	w, h                   int       // torus/ring grid (ring is h == 1)
-	xPlus, xMinus          []int32   // per grid vertex: +x / -x link
-	yPlus, yMinus          []int32   // per grid vertex: +y / -y link
-	hostUp                 []int32   // fat-tree: host -> its leaf
-	leafDown               [][]int32 // fat-tree: per leaf, per local slot
-	leafUp                 [][]int32 // fat-tree: per leaf, per spine
-	spineDown              [][]int32 // fat-tree: per spine, per leaf
+	w, h                    int       // torus/ring grid (ring is h == 1)
+	xPlus, xMinus           []int32   // per grid vertex: +x / -x link
+	yPlus, yMinus           []int32   // per grid vertex: +y / -y link
+	hostUp                  []int32   // fat-tree: host -> its leaf
+	leafDown                [][]int32 // fat-tree: per leaf, per local slot
+	leafUp                  [][]int32 // fat-tree: per leaf, per spine
+	spineDown               [][]int32 // fat-tree: per spine, per leaf
 	leaves, spines, perLeaf int
 }
 
@@ -276,8 +276,8 @@ func (g *Graph) PathLen(src, dst int) int {
 	return hops
 }
 
-// VertName renders a vertex for diagnostics.
-func (g *Graph) VertName(v int) string {
+// vertName renders a vertex for diagnostics.
+func (g *Graph) vertName(v int) string {
 	if g.Spec.Kind == FatTree {
 		switch {
 		case v < g.N:
@@ -297,5 +297,5 @@ func (g *Graph) VertName(v int) string {
 // LinkName renders a link for diagnostics.
 func (g *Graph) LinkName(id int) string {
 	l := g.Links[id]
-	return g.VertName(l.From) + "->" + g.VertName(l.To)
+	return g.vertName(l.From) + "->" + g.vertName(l.To)
 }
