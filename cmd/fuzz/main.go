@@ -52,9 +52,11 @@
 // compose. Either way the schedule is a pure function of the seed and the
 // flags, so a failure replays exactly like a pristine one.
 //
-// With -shards each pristine-crossbar seed executes on a sharded event
-// kernel; the transcript is bit-identical to a serial campaign (lossy and
-// topo seeds fall back to the serial kernel automatically).
+// With -shards every seed executes on a sharded event kernel; the transcript
+// is bit-identical to a serial campaign. -shards above 1 combined with -lossy
+// or -topo exits 2 before the campaign starts: the fault injector draws from
+// one RNG stream and CongWait congestion sampling is serial-only, so those
+// runs have no sharded form.
 package main
 
 import (
@@ -113,7 +115,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	failures := fuzz.Campaign(fuzz.Options{
+	opts := fuzz.Options{
 		N:      *n,
 		Seed:   *seed,
 		Modes:  modes,
@@ -139,7 +141,13 @@ func main() {
 				fmt.Printf("%d/%d programs checked, %d failures\n", done, *n, failed)
 			}
 		},
-	})
+	}
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		stop()
+		os.Exit(2)
+	}
+	failures := fuzz.Campaign(opts)
 
 	if len(failures) > 0 {
 		fmt.Printf("FAIL: %d of %d programs violated invariants\n", len(failures), *n)

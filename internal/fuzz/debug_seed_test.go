@@ -36,7 +36,7 @@ func TestDebugSeed(t *testing.T) {
 			}
 		}
 	}
-	res := Execute(p, core.ModeNew)
+	res := Run(p, Config{Mode: core.ModeNew})
 	fmt.Printf("err: %v\n", res.Err)
 	for _, ev := range res.Events {
 		fmt.Printf("t=%-8d rank=%d win=%d epoch=%d class=%v kind=%v peer=%d size=%d\n",

@@ -6,40 +6,87 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/par"
 	"repro/internal/topo"
 )
 
-// Failure describes one failing (seed, mode) pair with every violated
-// invariant. Seed alone reproduces it.
+// Config selects how one program runs: the RMA mode and the fabric,
+// kernel and epoch transport under it. Every field is a pure input, so a
+// (seed, Config) pair replays exactly.
+type Config struct {
+	Mode core.Mode
+	// Lossy runs over a fault-injecting fabric with the recoverable schedule
+	// LossyProfile(seed) derives: drops, duplicates, corruption, jitter and
+	// link flaps, all repaired by the reliability sublayer — so the very
+	// same invariants must hold as on a pristine network.
+	Lossy bool
+	// Topo routes over a modeled interconnect of this kind with the
+	// seed-varied shape TopoSpec derives (link arbitration, credit flow
+	// control, congestion). Crossbar — the zero value — is the untouched
+	// default fabric. Composes with Lossy.
+	Topo topo.Kind
+	// Shards runs on a sharded kernel with this many shards (<= 1: serial).
+	// Every observable is bit-identical to serial — sharding changes only
+	// wall-clock. check refuses it with Lossy or a modeled Topo.
+	Shards int
+	// Signal creates every window on the counter-signal epoch transport
+	// (core.TransportSignal) with the seed-derived replica base SignalBase
+	// returns — most seeds start the counters a few steps below the uint64
+	// wrap, so grant/done streams cross the boundary mid-program and the
+	// serial-number arithmetic is exercised for real. Composes with Lossy,
+	// Topo and Shards; the invariant battery is unchanged plus the signal
+	// conservation check (see Verify).
+	Signal bool
+}
+
+// check refuses a sharded kernel under the two fabrics that are serial-only:
+// the fault injector draws every packet's faults from one RNG stream, and
+// the tracer samples CongWait congestion only on the serial kernel
+// (internal/core/tracing.go), so a sharded run would change the transcript.
+func (c Config) check() error {
+	switch {
+	case c.Shards > 1 && c.Lossy:
+		return fmt.Errorf("fuzz: -shards %d with -lossy: the fault injector draws from one RNG stream, so lossy runs need the serial kernel", c.Shards)
+	case c.Shards > 1 && c.Topo != topo.Crossbar:
+		return fmt.Errorf("fuzz: -shards %d with -topo %s: the tracer samples CongWait congestion only on the serial kernel, so topology runs need it", c.Shards, c.Topo)
+	}
+	return nil
+}
+
+// Failure describes one failing (seed, Config) pair with every violated
+// invariant. Seed and Config alone reproduce it.
 type Failure struct {
+	Config
 	Seed     uint64
-	Mode     core.Mode
-	Lossy    bool      // failed over the fault-injecting fabric
-	Topo     topo.Kind // interconnect the run was routed over (Crossbar: default)
-	KV       bool      // failed in the chaos KV-store arm (see kv.go)
-	Signal   bool      // failed on the counter-signal epoch transport
+	KV       bool // failed in the chaos KV-store arm (see kv.go)
 	Problems []string
 }
 
-// String renders the failure with its reproduction recipe.
+// String renders the failure with the cmd/fuzz command that reruns exactly
+// it. Flush mode on the signal transport has no cmd/fuzz spelling (-mode
+// signal runs new and vanilla), so that failure prints its Check call as Go.
 func (f Failure) String() string {
-	extra := ""
-	if f.KV {
-		extra = " -mode kv"
+	s := fmt.Sprintf("seed=%d mode=%s:\n  %s\n  reproduce: ", f.Seed, f.Mode, strings.Join(f.Problems, "\n  "))
+	mode := f.Mode.String()
+	switch {
+	case f.KV:
+		mode = "kv"
+	case f.Signal && f.Mode == core.ModeFlush:
+		return s + fmt.Sprintf("fuzz.Check(%d, %#v)", f.Seed, f.Config)
+	case f.Signal:
+		mode = "signal"
 	}
-	if f.Signal {
-		extra = " -mode signal"
-	}
+	s += fmt.Sprintf("go run ./cmd/fuzz -seed %d -n 1 -mode %s", f.Seed, mode)
 	if f.Lossy {
-		extra += " -lossy"
+		s += " -lossy"
 	}
 	if f.Topo != topo.Crossbar {
-		extra += fmt.Sprintf(" -topo %s", f.Topo)
+		s += " -topo " + f.Topo.String()
 	}
-	return fmt.Sprintf("seed=%d mode=%s%s:\n  %s\n  reproduce: go run ./cmd/fuzz -seed %d -n 1%s",
-		f.Seed, f.Mode, extra, strings.Join(f.Problems, "\n  "), f.Seed, extra)
+	if f.Shards > 1 {
+		s += fmt.Sprintf(" -shards %d", f.Shards)
+	}
+	return s
 }
 
 // Options configures a fuzzing campaign.
@@ -58,81 +105,31 @@ type Options struct {
 	// Progress, when non-nil, is called after each program, in seed order,
 	// with running totals (programs done, failures so far).
 	Progress func(done, failures int)
-	// Lossy executes every seed over a fault-injecting fabric with the
-	// recoverable schedule LossyProfile(seed) derives: drops, duplicates,
-	// corruption, jitter and link flaps, all repaired by the reliability
-	// sublayer — so the very same invariants must hold as on a pristine
-	// network.
-	Lossy bool
-	// Topo routes every seed over a modeled interconnect of this kind with
-	// the seed-varied shape TopoSpec derives (link arbitration, credit flow
-	// control, congestion). Crossbar — the zero value — is the untouched
-	// default fabric. Composes with Lossy.
-	Topo topo.Kind
-	// Shards executes every run on a sharded kernel with this many shards
-	// (<= 1: serial). Every failure, transcript line and invariant outcome
-	// is bit-identical to serial — sharding changes only wall-clock.
-	// Lossy/topology runs fall back to serial (see ExecuteShards).
+	// Lossy, Topo, Shards and Signal set the Config fields of the same name
+	// for every run.
+	Lossy  bool
+	Topo   topo.Kind
 	Shards int
-	// Signal creates every window on the counter-signal epoch transport
-	// (core.TransportSignal) with the seed-derived replica base SignalBase
-	// returns — most seeds start the counters a few steps below the uint64
-	// wrap, so grant/done streams cross the boundary mid-program and the
-	// serial-number arithmetic is exercised for real. Composes with Lossy,
-	// Topo and Shards; the invariant battery is unchanged plus the signal
-	// conservation check (see Verify).
 	Signal bool
 }
 
 // BothModes is the default mode set.
 var BothModes = []core.Mode{core.ModeNew, core.ModeVanilla}
 
-// CheckSeed generates the program for one seed, executes it under mode and
-// verifies all invariants. nil means the run is clean.
-func CheckSeed(seed uint64, mode core.Mode) *Failure {
-	return CheckSeedFaults(seed, mode, false)
+// config is the Config Campaign runs each seed under in mode.
+func (o Options) config(mode core.Mode) Config {
+	return Config{Mode: mode, Lossy: o.Lossy, Topo: o.Topo, Shards: o.Shards, Signal: o.Signal}
 }
 
-// CheckSeedFaults is CheckSeed with an optional lossy fabric (see
-// Options.Lossy). The fault schedule is a pure function of the seed, so a
-// lossy failure reproduces exactly like a pristine one.
-func CheckSeedFaults(seed uint64, mode core.Mode, lossy bool) *Failure {
-	return CheckSeedTopo(seed, mode, lossy, topo.Crossbar)
-}
+// Validate reports why Campaign cannot run o (it would panic), or nil.
+func (o Options) Validate() error { return o.config(core.ModeNew).check() }
 
-// CheckSeedTopo is CheckSeedFaults over a modeled interconnect (see
-// Options.Topo). Routing, arbitration and the seed-derived shape are all
-// pure functions of (kind, seed), so topology failures replay exactly too.
-func CheckSeedTopo(seed uint64, mode core.Mode, lossy bool, kind topo.Kind) *Failure {
-	return CheckSeedShards(seed, mode, lossy, kind, 0)
-}
-
-// CheckSeedShards is CheckSeedTopo on a sharded kernel (see Options.Shards).
-func CheckSeedShards(seed uint64, mode core.Mode, lossy bool, kind topo.Kind, shards int) *Failure {
-	return checkSeed(seed, mode, lossy, kind, shards, false)
-}
-
-// CheckSeedSignal is the full checker on the counter-signal epoch transport
-// (see Options.Signal): the same program, invariants and fabric options, with
-// every window created as core.TransportSignal at the seed-derived replica
-// base.
-func CheckSeedSignal(seed uint64, mode core.Mode, lossy bool, kind topo.Kind, shards int) *Failure {
-	return checkSeed(seed, mode, lossy, kind, shards, true)
-}
-
-func checkSeed(seed uint64, mode core.Mode, lossy bool, kind topo.Kind, shards int, signal bool) *Failure {
-	p := Generate(seed)
-	if mode == core.ModeFlush {
-		p = GenerateFlush(seed) // epochless programs: lock/lock_all/flush only
-	}
-	var fp *fabric.FaultProfile
-	if lossy {
-		prof := LossyProfile(seed)
-		fp = &prof
-	}
-	res := executeOpts(p, mode, kind, shards, fp, nil, signal)
-	if problems := Verify(p, mode, res); len(problems) > 0 {
-		return &Failure{Seed: seed, Mode: mode, Lossy: lossy, Topo: kind, Signal: signal, Problems: problems}
+// Check generates the program for one seed (GenerateFlush in flush mode),
+// runs it under c and verifies every invariant. nil means the run is clean.
+func Check(seed uint64, c Config) *Failure {
+	p := generate(seed, c.Mode == core.ModeFlush)
+	if problems := Verify(p, c.Mode, Run(p, c)); len(problems) > 0 {
+		return &Failure{Config: c, Seed: seed, Problems: problems}
 	}
 	return nil
 }
@@ -150,7 +147,7 @@ func Campaign(o Options) []Failure {
 		seed := o.Seed + uint64(i)
 		var fs []Failure
 		for _, mode := range modes {
-			if f := checkSeed(seed, mode, o.Lossy, o.Topo, o.Shards, o.Signal); f != nil {
+			if f := Check(seed, o.config(mode)); f != nil {
 				fs = append(fs, *f)
 			}
 		}

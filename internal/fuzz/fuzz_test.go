@@ -1,7 +1,9 @@
 package fuzz
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -37,7 +39,7 @@ func TestFlippedReorderCaught(t *testing.T) {
 	core.SetDebugFlipReorder(true)
 	defer core.SetDebugFlipReorder(false)
 	for seed := uint64(1); seed <= 200; seed++ {
-		if f := CheckSeed(seed, core.ModeNew); f != nil {
+		if f := Check(seed, Config{Mode: core.ModeNew}); f != nil {
 			t.Logf("flipped canReorder caught at seed %d:\n%s", seed, f)
 			return
 		}
@@ -80,9 +82,8 @@ func TestLossyVanillaCampaign(t *testing.T) {
 func TestLossyReplayDeterminism(t *testing.T) {
 	for seed := uint64(3); seed <= 5; seed++ {
 		p := Generate(seed)
-		fp := LossyProfile(seed)
-		a := ExecuteFaults(p, core.ModeNew, &fp)
-		b := ExecuteFaults(p, core.ModeNew, &fp)
+		a := Run(p, Config{Mode: core.ModeNew, Lossy: true})
+		b := Run(p, Config{Mode: core.ModeNew, Lossy: true})
 		if a.Err != nil || b.Err != nil {
 			t.Fatalf("seed %d: lossy runs failed: %v / %v", seed, a.Err, b.Err)
 		}
@@ -102,8 +103,7 @@ func TestLossyReplayDeterminism(t *testing.T) {
 func TestLossyActuallyInjects(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		p := Generate(seed)
-		fp := LossyProfile(seed)
-		res := ExecuteFaults(p, core.ModeNew, &fp)
+		res := Run(p, Config{Mode: core.ModeNew, Lossy: true})
 		if res.Err != nil {
 			t.Fatalf("seed %d: %v", seed, res.Err)
 		}
@@ -128,7 +128,7 @@ func TestEventBudgetHeadroom(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		p := Generate(seed)
 		for _, mode := range BothModes {
-			res := Execute(p, mode)
+			res := Run(p, Config{Mode: mode})
 			if res.Err != nil {
 				t.Fatalf("seed %d mode %s: %v", seed, mode, res.Err)
 			}
@@ -190,23 +190,63 @@ func TestFlushLossyCampaign(t *testing.T) {
 	}
 }
 
-// TestFlushShardIdentity: a flush-mode run on the sharded kernel must be
-// bit-identical to serial — same kernel event count, same trace length,
-// same final memories.
-func TestFlushShardIdentity(t *testing.T) {
-	for seed := uint64(1); seed <= 10; seed++ {
-		p := GenerateFlush(seed)
-		a := ExecuteShards(p, core.ModeFlush, nil, topo.Crossbar, 0)
-		b := ExecuteShards(p, core.ModeFlush, nil, topo.Crossbar, 4)
-		if a.Err != nil || b.Err != nil {
-			t.Fatalf("seed %d: %v / %v", seed, a.Err, b.Err)
+// TestFailureReproduce pins the rendered reproduce line: every cmd/fuzz
+// command reruns exactly the failing mode and fabric, and flush mode on the
+// signal transport, which no -mode spells, prints the Check call instead.
+func TestFailureReproduce(t *testing.T) {
+	const cmd = "go run ./cmd/fuzz -seed 7 -n 1 "
+	for _, tc := range []struct {
+		f    Failure
+		want string
+	}{
+		{Failure{Config: Config{Mode: core.ModeNew}}, cmd + "-mode new"},
+		{Failure{Config: Config{Mode: core.ModeVanilla, Lossy: true}}, cmd + "-mode vanilla -lossy"},
+		{Failure{Config: Config{Mode: core.ModeFlush}}, cmd + "-mode flush"},
+		{Failure{Config: Config{Mode: core.ModeFlush, Lossy: true, Topo: topo.FatTree}}, cmd + "-mode flush -lossy -topo fattree"},
+		{Failure{Config: Config{Mode: core.ModeNew, Topo: topo.Ring, Signal: true}}, cmd + "-mode signal -topo ring"},
+		{Failure{Config: Config{Mode: core.ModeVanilla, Lossy: true, Signal: true}}, cmd + "-mode signal -lossy"},
+		{Failure{Config: Config{Mode: core.ModeNew, Shards: 4}}, cmd + "-mode new -shards 4"},
+		{Failure{Config: Config{Mode: core.ModeFlush, Shards: 2}, KV: true}, cmd + "-mode kv -shards 2"},
+		{Failure{Config: Config{Mode: core.ModeFlush, Lossy: true, Signal: true}},
+			"fuzz.Check(7, fuzz.Config{Mode:2, Lossy:true, Topo:0, Shards:0, Signal:true})"},
+	} {
+		tc.f.Seed = 7
+		tc.f.Problems = []string{"boom"}
+		want := fmt.Sprintf("seed=7 mode=%s:\n  boom\n  reproduce: %s", tc.f.Mode, tc.want)
+		if got := tc.f.String(); got != want {
+			t.Errorf("%+v:\n got: %s\nwant: %s", tc.f.Config, got, want)
 		}
-		if a.KernelEvents != b.KernelEvents {
-			t.Errorf("seed %d: kernel events diverge serial=%d sharded=%d",
-				seed, a.KernelEvents, b.KernelEvents)
+	}
+}
+
+// TestShardsRefusedOnSerialOnlyFabrics: Shards > 1 with Lossy or a modeled
+// Topo is refused up front — by Validate for a campaign and by a panic in
+// Run — with one message naming the flag pair, instead of running serial.
+func TestShardsRefusedOnSerialOnlyFabrics(t *testing.T) {
+	p := Generate(1)
+	for _, tc := range []struct {
+		o    Options
+		pair string
+	}{
+		{Options{Lossy: true, Shards: 2}, "-shards 2 with -lossy: "},
+		{Options{Topo: topo.FatTree, Shards: 2}, "-shards 2 with -topo fattree: "},
+	} {
+		err := tc.o.Validate()
+		if err == nil || !strings.HasPrefix(err.Error(), "fuzz: "+tc.pair) {
+			t.Fatalf("%+v: Validate = %v, want a refusal naming %q", tc.o, err, tc.pair)
 		}
-		if !reflect.DeepEqual(a.Mems, b.Mems) {
-			t.Errorf("seed %d: final memories diverge across shard counts", seed)
+		func() {
+			defer func() {
+				if r := recover(); r != err.Error() {
+					t.Errorf("%+v: Run panicked with %v, want %q", tc.o, r, err)
+				}
+			}()
+			Run(p, tc.o.config(core.ModeNew))
+		}()
+	}
+	for _, o := range []Options{{Lossy: true, Shards: 1}, {Topo: topo.Torus}, {Shards: 4, Signal: true}} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("%+v: refused a runnable campaign: %v", o, err)
 		}
 	}
 }

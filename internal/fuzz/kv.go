@@ -37,9 +37,9 @@ func KVOptions(seed uint64) kvstore.Options {
 	mix := (seed + 0x5e11_ed_cafe) * 0x9e3779b97f4a7c15
 	mix ^= mix >> 33
 	opt.Mode = kvModes[mix%3]
-	opt.Servers = 2 + int((mix>>2)%3)  // 2..4
-	opt.Clients = 2 + int((mix>>4)%4)  // 2..5
-	opt.Keys = 32 << ((mix >> 7) % 2)  // 32 or 64
+	opt.Servers = 2 + int((mix>>2)%3) // 2..4
+	opt.Clients = 2 + int((mix>>4)%4) // 2..5
+	opt.Keys = 32 << ((mix >> 7) % 2) // 32 or 64
 	opt.OpsPerClient = 24 + 8*int((mix>>9)%3)
 	opt.ReadPermille = 300 + 100*int((mix>>11)%5)
 
@@ -85,9 +85,9 @@ func DescribeKV(seed uint64) string {
 	return s
 }
 
-// CheckKVSeed runs one seed's scenario and verifies oracle, replay and
+// checkKVSeed runs one seed's scenario and verifies oracle, replay and
 // shard parity. shards <= 1 still checks parity, against a 2-shard kernel.
-func CheckKVSeed(seed uint64, shards int) *Failure {
+func checkKVSeed(seed uint64, shards int) *Failure {
 	if shards <= 1 {
 		shards = 2
 	}
@@ -107,7 +107,7 @@ func CheckKVSeed(seed uint64, shards int) *Failure {
 			shards, serial, sharded))
 	}
 	if len(problems) > 0 {
-		return &Failure{Seed: seed, Mode: opt.Mode, KV: true, Problems: problems}
+		return &Failure{Config: Config{Mode: opt.Mode, Shards: shards}, Seed: seed, KV: true, Problems: problems}
 	}
 	return nil
 }
@@ -116,7 +116,7 @@ func CheckKVSeed(seed uint64, shards int) *Failure {
 // Topo are ignored: the scenario's mode and adversary come from the seed).
 func KVCampaign(o Options) []Failure {
 	return runCampaign(o, func(i int) []Failure {
-		if f := CheckKVSeed(o.Seed+uint64(i), o.Shards); f != nil {
+		if f := checkKVSeed(o.Seed+uint64(i), o.Shards); f != nil {
 			return []Failure{*f}
 		}
 		return nil

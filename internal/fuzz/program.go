@@ -168,34 +168,7 @@ var accDTs = []core.DType{core.TInt64, core.TUint64, core.TByte}
 
 // Generate derives a complete program from seed. The same seed always yields
 // the same program (sim.RNG is stable across Go releases).
-func Generate(seed uint64) *Program {
-	rng := sim.NewRNG(seed)
-	n := 2 + rng.Intn(4) // 2..5 ranks
-	ppn := []int{1, 2, n}[rng.Intn(3)]
-	p := &Program{Seed: seed, NRanks: n, ProcsPerNode: ppn}
-
-	nw := 1 + rng.Intn(2)
-	for i := 0; i < nw; i++ {
-		p.Windows = append(p.Windows, genWindow(rng))
-	}
-	// With two windows, force one of each family so every program still
-	// exercises both; a single window picks its family at random.
-	if nw == 2 && p.Windows[0].Passive == p.Windows[1].Passive {
-		p.Windows[1].Passive = !p.Windows[0].Passive
-	}
-
-	// CAS slots are single-use per (window, origin) across the program.
-	casUsed := make([][]int, nw)
-	for i := range casUsed {
-		casUsed[i] = make([]int, n)
-	}
-
-	rounds := 3 + rng.Intn(8)
-	for i := 0; i < rounds; i++ {
-		p.Rounds = append(p.Rounds, genRound(rng, p, casUsed))
-	}
-	return p
-}
+func Generate(seed uint64) *Program { return generate(seed, false) }
 
 // GenerateFlush derives a flush-mode (core.ModeFlush) program from seed.
 // Same shape discipline as Generate, restricted to what the epochless design
@@ -210,7 +183,12 @@ func Generate(seed uint64) *Program {
 // most one lock per round and acquires it before blocking on anything else,
 // and in-flight releases complete autonomously (NIC-driven), so a
 // back-to-back re-acquire spins briefly rather than deadlocking.
-func GenerateFlush(seed uint64) *Program {
+func GenerateFlush(seed uint64) *Program { return generate(seed, true) }
+
+// generate is Generate, or GenerateFlush when flush is set: both draw the
+// same shape from the RNG in the same order and differ only in the window
+// families and round kinds they keep.
+func generate(seed uint64, flush bool) *Program {
 	rng := sim.NewRNG(seed)
 	n := 2 + rng.Intn(4) // 2..5 ranks
 	ppn := []int{1, 2, n}[rng.Intn(3)]
@@ -219,16 +197,28 @@ func GenerateFlush(seed uint64) *Program {
 	nw := 1 + rng.Intn(2)
 	for i := 0; i < nw; i++ {
 		ws := genWindow(rng)
-		ws.Passive = true
+		ws.Passive = ws.Passive || flush
 		p.Windows = append(p.Windows, ws)
 	}
+	// With two windows, force one of each family so every epoch program
+	// still exercises both; a single window picks its family at random.
+	if !flush && nw == 2 && p.Windows[0].Passive == p.Windows[1].Passive {
+		p.Windows[1].Passive = !p.Windows[0].Passive
+	}
+
+	// CAS slots are single-use per (window, origin) across the program.
 	casUsed := make([][]int, nw)
 	for i := range casUsed {
 		casUsed[i] = make([]int, n)
 	}
+
 	rounds := 3 + rng.Intn(8)
 	for i := 0; i < rounds; i++ {
-		p.Rounds = append(p.Rounds, genFlushRound(rng, p, casUsed))
+		if flush {
+			p.Rounds = append(p.Rounds, genFlushRound(rng, p, casUsed))
+		} else {
+			p.Rounds = append(p.Rounds, genRound(rng, p, casUsed))
+		}
 	}
 	return p
 }

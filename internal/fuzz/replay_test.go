@@ -6,20 +6,19 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/topo"
 )
 
 // TestDiagnosticsChangeNoObservable: call-site capture schedules no events,
 // so a clean run with diagnostics on and off produces the same trace, event
-// count, memories and stats. This is what lets executeOpts run without
+// count, memories and stats. This is what lets Run execute without
 // capture and turn it on only to replay a failure.
 func TestDiagnosticsChangeNoObservable(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		p := Generate(seed)
-		fp := LossyProfile(seed)
 		for _, mode := range []core.Mode{core.ModeNew, core.ModeVanilla} {
-			off := execute(p, mode, topo.Crossbar, 0, &fp, nil, false, false)
-			on := execute(p, mode, topo.Crossbar, 0, &fp, nil, false, true)
+			c := Config{Mode: mode, Lossy: true}
+			off := execute(p, c, nil, false)
+			on := execute(p, c, nil, true)
 			if off.Err != nil || on.Err != nil {
 				t.Fatalf("seed %d %v: clean program failed: off=%v on=%v", seed, mode, off.Err, on.Err)
 			}
@@ -53,16 +52,16 @@ func hangingProgram() *Program {
 	}
 }
 
-// TestFailureReplayExact: the error executeOpts returns for a failing run —
+// TestFailureReplayExact: the error Run returns for a failing run —
 // the replay with call-site capture — is exactly the error of a run that had
 // capture on from the start, and names the blocking call in this package.
 func TestFailureReplayExact(t *testing.T) {
 	p := hangingProgram()
-	want := execute(p, core.ModeNew, topo.Crossbar, 0, nil, nil, false, true)
+	want := execute(p, Config{Mode: core.ModeNew}, nil, true)
 	if want.Err == nil {
 		t.Fatal("hanging program ran clean")
 	}
-	got := executeOpts(p, core.ModeNew, topo.Crossbar, 0, nil, nil, false)
+	got := Run(p, Config{Mode: core.ModeNew})
 	if got.Err == nil || got.Err.Error() != want.Err.Error() {
 		t.Fatalf("replayed error differs from a diagnostics-on run:\n got: %v\nwant: %v", got.Err, want.Err)
 	}

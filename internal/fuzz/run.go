@@ -103,92 +103,42 @@ func SignalBase(seed uint64) uint64 {
 	return ^uint64(0) - mix%32
 }
 
-// Execute runs the program under the given mode and snapshots the outcome.
-// Deadlocks and livelocks surface in RunResult.Err via the kernel watchdog
-// instead of hanging the process.
-func Execute(p *Program, mode core.Mode) *RunResult {
-	return ExecuteFaults(p, mode, nil)
-}
-
-// ExecuteFaults is Execute over a fault-injecting fabric; fp == nil runs
-// the pristine network.
-func ExecuteFaults(p *Program, mode core.Mode, fp *fabric.FaultProfile) *RunResult {
-	return ExecuteTopo(p, mode, fp, topo.Crossbar)
-}
-
-// ExecuteTopo is ExecuteFaults over a modeled interconnect: anything but
-// the crossbar routes every internode packet through the seed-derived
-// TopoSpec shape, under link arbitration and credit flow control — and, if
-// fp is also set, under fault injection on top.
-func ExecuteTopo(p *Program, mode core.Mode, fp *fabric.FaultProfile, kind topo.Kind) *RunResult {
-	return ExecuteShards(p, mode, fp, kind, 0)
-}
-
-// ExecuteShards is ExecuteTopo on a sharded kernel (mpi.NewWorldShards):
-// the run's every observable — memories, stats, trace, kernel event count —
-// must be bit-identical to the serial execution, which campaign tests pin.
-// Two fuzz modes silently fall back to serial: fault injection (the fabric
-// rejects sharding — one RNG stream) and modeled topologies (the tracer's
-// CongWait congestion sampling is serial-only, and dropping events would
-// break the bit-identical transcript contract). The crossbar modes — the
-// bulk of a campaign — run genuinely sharded.
-func ExecuteShards(p *Program, mode core.Mode, fp *fabric.FaultProfile, kind topo.Kind, shards int) *RunResult {
-	return executeOpts(p, mode, kind, shards, fp, nil, false)
-}
-
-// ExecuteSignal is ExecuteShards on the counter-signal epoch transport:
-// every window is created as core.TransportSignal with the seed-derived
-// replica base SignalBase(p.Seed). Everything else — fabric options, shard
-// fallback, snapshotting — is identical, which is exactly the point: the
-// transport swap must be invisible to the program's observable memory
-// semantics.
-func ExecuteSignal(p *Program, mode core.Mode, fp *fabric.FaultProfile, kind topo.Kind, shards int) *RunResult {
-	return executeOpts(p, mode, kind, shards, fp, nil, true)
-}
-
-// ExecuteScheduled is ExecuteShards under the deterministic scheduled-fault
-// adversary (fabric.FaultSchedule) instead of the randomized injector.
-// Unlike EnableFaults — one injector RNG stream, serial-only — the schedule
-// hashes each packet in its owning rank's shard context, so scheduled runs
-// execute genuinely sharded and the transcript must stay bit-identical at
-// any shard count (shard_test.go pins this).
-func ExecuteScheduled(p *Program, mode core.Mode, fs fabric.FaultSchedule, shards int) *RunResult {
-	return executeOpts(p, mode, topo.Crossbar, shards, nil, &fs, false)
-}
-
-// executeOpts applies the serial-fallback rule shared by every entry point
-// (fault injection and modeled topologies reject sharding) before the run.
-// A failed run is replayed with call-site capture, so its error names the
-// blocking calls; only failures pay for the capture.
-func executeOpts(p *Program, mode core.Mode, kind topo.Kind, shards int, fp *fabric.FaultProfile, fs *fabric.FaultSchedule, signal bool) *RunResult {
-	if fp != nil || kind != topo.Crossbar {
-		shards = 0
+// Run executes p under c and snapshots the outcome. Deadlocks and livelocks
+// surface in RunResult.Err via the kernel watchdog instead of hanging the
+// process. A failed run is replayed with call-site capture, so its error
+// names the blocking calls; only failures pay for the capture. Run panics on
+// a Config that check refuses.
+func Run(p *Program, c Config) *RunResult {
+	if err := c.check(); err != nil {
+		panic(err.Error())
 	}
-	res := execute(p, mode, kind, shards, fp, fs, signal, false)
+	res := execute(p, c, nil, false)
 	if res.Err != nil {
-		res = execute(p, mode, kind, shards, fp, fs, signal, true)
+		res = execute(p, c, nil, true)
 	}
 	return res
 }
 
-// execute is the shared executor body behind every Execute* entry point.
+// execute is the executor body behind Run. fs, when set, adds the scheduled
+// fault adversary (fabric.FaultSchedule), which hashes each packet in its
+// owning rank's shard context and so, unlike the injector, runs sharded.
 // diag turns on call-site capture, which schedules no events and so changes
-// nothing but the call sites in a failure report; executeOpts sets it only
-// to replay a failed run.
-func execute(p *Program, mode core.Mode, kind topo.Kind, shards int, fp *fabric.FaultProfile, fs *fabric.FaultSchedule, signal, diag bool) *RunResult {
+// nothing but the call sites in a failure report; Run sets it only to replay
+// a failed run.
+func execute(p *Program, c Config, fs *fabric.FaultSchedule, diag bool) *RunResult {
 	cfg := fabric.DefaultConfig()
 	cfg.ProcsPerNode = p.ProcsPerNode
-	cfg.Topo = TopoSpec(kind, p.Seed)
-	world := mpi.NewWorldShards(p.NRanks, cfg, shards)
-	if fp != nil {
-		world.Net.EnableFaults(*fp)
+	cfg.Topo = TopoSpec(c.Topo, p.Seed)
+	world := mpi.NewWorldShards(p.NRanks, cfg, c.Shards)
+	if c.Lossy {
+		world.Net.EnableFaults(LossyProfile(p.Seed))
 	}
 	if fs != nil {
 		world.Net.EnableSchedule(*fs)
 	}
 	// Scheduled flap/jitter runs get the lossy budget headroom too: held
 	// packets stretch the schedule the same way retransmissions do.
-	world.SetWatchdog(eventBudget(p, fp != nil || fs != nil, kind), 0)
+	world.SetWatchdog(eventBudget(p, c.Lossy || fs != nil, c.Topo), 0)
 	if diag {
 		world.EnableDiagnostics()
 	}
@@ -210,8 +160,8 @@ func execute(p *Program, mode core.Mode, kind topo.Kind, shards int, fp *fabric.
 		return world.Run(func(r *mpi.Rank) {
 			me := r.ID
 			for _, ws := range p.Windows {
-				opt := core.WinOptions{Mode: mode, Info: ws.Info}
-				if signal {
+				opt := core.WinOptions{Mode: c.Mode, Info: ws.Info}
+				if c.Signal {
 					opt.Transport = core.TransportSignal
 					opt.SignalBase = SignalBase(p.Seed)
 				}
@@ -220,7 +170,7 @@ func execute(p *Program, mode core.Mode, kind topo.Kind, shards int, fp *fabric.
 			}
 			var pending []*mpi.Request
 			for _, rd := range p.Rounds {
-				execRound(p, rd, r, res.Wins[me], mode, &pending)
+				execRound(p, rd, r, res.Wins[me], c.Mode, &pending)
 			}
 			r.Wait(pending...)
 			for _, win := range res.Wins[me] {

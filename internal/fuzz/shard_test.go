@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
 // shardFingerprint compresses everything a run exposes into a comparable
@@ -32,6 +31,24 @@ func shardFingerprint(r *RunResult) string {
 	return out
 }
 
+// checkShardIdentity runs p serially under c, then at each shard count,
+// and fails unless every sharded run has the serial run's fingerprint. It
+// returns the serial result.
+func checkShardIdentity(t *testing.T, seed uint64, p *Program, c Config, shards []int) *RunResult {
+	t.Helper()
+	serial := Run(p, c)
+	want := shardFingerprint(serial)
+	for _, n := range shards {
+		sc := c
+		sc.Shards = n
+		if got := shardFingerprint(Run(p, sc)); got != want {
+			t.Fatalf("seed %d %+v: observable history differs from serial\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
+				seed, sc, want, got)
+		}
+	}
+	return serial
+}
+
 // The fuzzer-level shard guarantee: a program's entire observable history —
 // memory, statistics, trace stream, even the number of kernel events — is
 // bit-identical at every shard count, including serial.
@@ -39,14 +56,30 @@ func TestShardedRunsMatchSerial(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 7, 19, 42} {
 		p := Generate(seed)
 		for _, mode := range BothModes {
-			serial := shardFingerprint(ExecuteShards(p, mode, nil, topo.Crossbar, 0))
-			for _, shards := range []int{2, 4, 8} {
-				got := shardFingerprint(ExecuteShards(p, mode, nil, topo.Crossbar, shards))
-				if got != serial {
-					t.Fatalf("seed %d mode %v: observable history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
-						seed, mode, shards, serial, got)
-				}
-			}
+			checkShardIdentity(t, seed, p, Config{Mode: mode}, []int{2, 4, 8})
+		}
+	}
+}
+
+// TestSignalShardIdentity: a signal-transport run on the sharded kernel is
+// bit-identical to serial — memories, stats (including the Signals*
+// counters), trace stream and kernel event count.
+func TestSignalShardIdentity(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 19} {
+		p := Generate(seed)
+		for _, mode := range BothModes {
+			checkShardIdentity(t, seed, p, Config{Mode: mode, Signal: true}, []int{2, 4})
+		}
+	}
+}
+
+// TestFlushShardIdentity: a flush-mode run on the sharded kernel is
+// bit-identical to serial, and the serial run completes.
+func TestFlushShardIdentity(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		res := checkShardIdentity(t, seed, GenerateFlush(seed), Config{Mode: core.ModeFlush}, []int{4})
+		if res.Err != nil {
+			t.Fatalf("seed %d: %v", seed, res.Err)
 		}
 	}
 }
@@ -57,7 +90,7 @@ func TestShardedRunsMatchSerial(t *testing.T) {
 // bit-identical at any shard count even while links flap mid-program.
 // Deaths are excluded here: an arbitrary generated epoch program does not
 // survive a dead collective peer; dead-rank shard parity is pinned by the
-// KV harness instead (CheckKVSeed, kvstore's TestKVSerialShardedParity).
+// KV harness instead (checkKVSeed, kvstore's TestKVSerialShardedParity).
 func TestScheduledFaultShardsMatchSerial(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		p := Generate(seed)
@@ -70,9 +103,9 @@ func TestScheduledFaultShardsMatchSerial(t *testing.T) {
 			Jitter: 700 * sim.Nanosecond,
 		}
 		for _, mode := range BothModes {
-			serial := shardFingerprint(ExecuteScheduled(p, mode, fs, 0))
+			serial := shardFingerprint(execute(p, Config{Mode: mode}, &fs, false))
 			for _, shards := range []int{2, 4, 8} {
-				got := shardFingerprint(ExecuteScheduled(p, mode, fs, shards))
+				got := shardFingerprint(execute(p, Config{Mode: mode, Shards: shards}, &fs, false))
 				if got != serial {
 					t.Fatalf("seed %d mode %v: scheduled-fault history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
 						seed, mode, shards, serial, got)

@@ -77,25 +77,6 @@ func TestSignalTopoCampaign(t *testing.T) {
 	}
 }
 
-// TestSignalShardIdentity: a signal-transport run on the sharded kernel is
-// bit-identical to serial — memories, stats (including the Signals*
-// counters), trace stream and kernel event count.
-func TestSignalShardIdentity(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 19} {
-		p := Generate(seed)
-		for _, mode := range BothModes {
-			serial := shardFingerprint(ExecuteSignal(p, mode, nil, topo.Crossbar, 0))
-			for _, shards := range []int{2, 4} {
-				got := shardFingerprint(ExecuteSignal(p, mode, nil, topo.Crossbar, shards))
-				if got != serial {
-					t.Fatalf("seed %d mode %v: signal-transport history differs between serial and %d shards\n--- serial ---\n%.2000s\n--- sharded ---\n%.2000s",
-						seed, mode, shards, serial, got)
-				}
-			}
-		}
-	}
-}
-
 // TestSignalArmActuallySignals guards against the arm silently running on
 // the GATS control path: across a handful of seeds, signal-transport runs
 // must move replica writes, and near-wrap seeds must show raw counters that
@@ -106,7 +87,7 @@ func TestSignalArmActuallySignals(t *testing.T) {
 	wrapped := false
 	for seed := uint64(1); seed <= 10; seed++ {
 		p := Generate(seed)
-		res := ExecuteSignal(p, core.ModeNew, nil, topo.Crossbar, 0)
+		res := Run(p, Config{Mode: core.ModeNew, Signal: true})
 		if res.Err != nil {
 			t.Fatalf("seed %d: %v", seed, res.Err)
 		}
